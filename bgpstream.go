@@ -69,7 +69,6 @@
 package bgpstream
 
 import (
-	"context"
 	"time"
 
 	"github.com/bgpstream-go/bgpstream/internal/archive"
@@ -228,43 +227,6 @@ func PushSource(es ElemSource) Source { return core.PushSource(es) }
 // returns exactly elems and the record sorts by ts in merge layers.
 func NewElemRecord(project, collector string, t DumpType, ts time.Time, elems []Elem) *Record {
 	return core.NewElemRecord(project, collector, t, ts, elems)
-}
-
-// NewStream builds a stream over a data interface; ctx bounds live
-// polling.
-//
-// Deprecated: use Open with WithSourceInstance (or a named source):
-// Open(ctx, WithSourceInstance(di), WithFilters(filters)).
-func NewStream(ctx context.Context, di DataInterface, filters Filters) *Stream {
-	return core.NewStream(ctx, di, filters)
-}
-
-// NewBrokerClient builds the Broker data interface, the default way
-// to consume public archives.
-//
-// Deprecated: use Open with the "broker" source: Open(ctx,
-// WithSource("broker", SourceOptions{"url": baseURL}), ...).
-func NewBrokerClient(baseURL string, filters Filters) *BrokerClient {
-	return broker.NewClient(baseURL, filters)
-}
-
-// NewLiveStream builds a stream over an elem-level push source (a
-// RISLiveClient, or any ElemSource); the result is a regular *Stream.
-//
-// Deprecated: use Open with WithSourceInstance (or the "rislive"
-// source): Open(ctx, WithSourceInstance(src), WithFilters(filters)).
-func NewLiveStream(ctx context.Context, src ElemSource, filters Filters) *Stream {
-	return core.NewLiveStream(ctx, src, filters)
-}
-
-// NewRISLiveClient builds a push-feed client for the given SSE
-// endpoint and subscription.
-//
-// Deprecated: use Open with the "rislive" source, which derives the
-// subscription from the stream filters: Open(ctx,
-// WithSource("rislive", SourceOptions{"url": endpoint}), ...).
-func NewRISLiveClient(endpoint string, sub RISLiveSubscription) *RISLiveClient {
-	return rislive.NewClient(endpoint, sub)
 }
 
 // ParseCommunityFilter parses "asn:value" with "*" wildcards.

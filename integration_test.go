@@ -86,13 +86,16 @@ func TestLiveEndToEnd(t *testing.T) {
 	defer brkSrv.Close()
 
 	filters := core.Filters{Live: true, Start: start}
-	client := bgpstream.NewBrokerClient(brkSrv.URL, filters)
+	client := broker.NewClient(brkSrv.URL, filters)
 	client.HTTPClient = brkSrv.Client()
 	client.PollInterval = 10 * time.Millisecond
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	stream := bgpstream.NewStream(ctx, client, filters)
+	stream, err := bgpstream.Open(ctx, bgpstream.WithSourceInstance(client), bgpstream.WithFilters(filters))
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer stream.Close()
 
 	// Publisher loop: advance virtual time and re-scrape, simulating
@@ -182,7 +185,11 @@ func TestFacadeHistorical(t *testing.T) {
 		DumpTypes: []bgpstream.DumpType{bgpstream.DumpRIB},
 		ElemTypes: []bgpstream.ElemType{bgpstream.ElemRIB},
 	}
-	s := bgpstream.NewStream(context.Background(), &bgpstream.Directory{Dir: dir}, filters)
+	s, err := bgpstream.Open(context.Background(),
+		bgpstream.WithSourceInstance(&bgpstream.Directory{Dir: dir}), bgpstream.WithFilters(filters))
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Close()
 	n := 0
 	for {

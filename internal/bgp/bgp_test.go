@@ -92,13 +92,14 @@ func TestDecodeNLRIErrors(t *testing.T) {
 }
 
 func TestNLRIListRoundTrip(t *testing.T) {
+	var d Decoder
 	want := []netip.Prefix{
 		mustPrefix(t, "10.0.0.0/8"),
 		mustPrefix(t, "192.0.2.0/24"),
 		mustPrefix(t, "198.51.100.0/25"),
 	}
 	enc := AppendNLRIList(nil, want)
-	got, err := DecodeNLRIList(enc, AFIIPv4)
+	got, err := d.DecodeNLRIList(enc, AFIIPv4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,13 +162,14 @@ func TestASPathOrigin(t *testing.T) {
 }
 
 func TestASPathRoundTrip2And4(t *testing.T) {
+	var d Decoder
 	p := ASPath{Segments: []PathSegment{
 		{Type: SegmentASSequence, ASNs: []uint32{64512, 701, 13335}},
 		{Type: SegmentASSet, ASNs: []uint32{65000, 65001}},
 	}}
 	for _, size := range []int{2, 4} {
 		enc := AppendASPath(nil, p, size)
-		got, err := DecodeASPath(enc, size)
+		got, err := d.DecodeASPath(enc, size)
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}
@@ -178,9 +180,10 @@ func TestASPathRoundTrip2And4(t *testing.T) {
 }
 
 func TestASPath2ByteSubstitutesASTrans(t *testing.T) {
+	var d Decoder
 	p := SequencePath(196608, 701) // 196608 > 0xFFFF
 	enc := AppendASPath(nil, p, 2)
-	got, err := DecodeASPath(enc, 2)
+	got, err := d.DecodeASPath(enc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +193,14 @@ func TestASPath2ByteSubstitutesASTrans(t *testing.T) {
 }
 
 func TestASPathLongSegmentSplit(t *testing.T) {
+	var d Decoder
 	asns := make([]uint32, 300)
 	for i := range asns {
 		asns[i] = uint32(i + 1)
 	}
 	p := SequencePath(asns...)
 	enc := AppendASPath(nil, p, 4)
-	got, err := DecodeASPath(enc, 4)
+	got, err := d.DecodeASPath(enc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,16 +245,17 @@ func TestCommunityParts(t *testing.T) {
 }
 
 func TestCommunitiesRoundTrip(t *testing.T) {
+	var d Decoder
 	cs := Communities{NewCommunity(701, 120), NewCommunity(3356, 9999)}
 	enc := AppendCommunities(nil, cs)
-	got, err := DecodeCommunities(enc)
+	got, err := d.DecodeCommunities(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, cs) {
 		t.Errorf("got %v, want %v", got, cs)
 	}
-	if _, err := DecodeCommunities([]byte{1, 2, 3}); !errors.Is(err, ErrBadLength) {
+	if _, err := d.DecodeCommunities([]byte{1, 2, 3}); !errors.Is(err, ErrBadLength) {
 		t.Errorf("odd length: got %v, want ErrBadLength", err)
 	}
 }
@@ -286,10 +291,11 @@ func testUpdate(t *testing.T) *Update {
 }
 
 func TestUpdateRoundTrip(t *testing.T) {
+	var d Decoder
 	want := testUpdate(t)
 	for _, asSize := range []int{2, 4} {
 		enc := EncodeUpdate(want, asSize)
-		got, err := DecodeUpdateMessage(enc, asSize)
+		got, err := d.DecodeUpdateMessage(enc, asSize)
 		if err != nil {
 			t.Fatalf("asSize %d: %v", asSize, err)
 		}
@@ -315,6 +321,7 @@ func TestUpdateRoundTrip(t *testing.T) {
 }
 
 func TestUpdateIPv6MPReach(t *testing.T) {
+	var d Decoder
 	origin := uint8(OriginIGP)
 	u := &Update{
 		Attrs: PathAttributes{
@@ -330,7 +337,7 @@ func TestUpdateIPv6MPReach(t *testing.T) {
 		},
 	}
 	enc := EncodeUpdate(u, 4)
-	got, err := DecodeUpdateMessage(enc, 4)
+	got, err := d.DecodeUpdateMessage(enc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,6 +358,7 @@ func TestUpdateIPv6MPReach(t *testing.T) {
 }
 
 func TestUpdateMPUnreach(t *testing.T) {
+	var d Decoder
 	u := &Update{
 		Attrs: PathAttributes{
 			MPUnreach: &MPUnreach{
@@ -361,7 +369,7 @@ func TestUpdateMPUnreach(t *testing.T) {
 		},
 	}
 	enc := EncodeUpdate(u, 4)
-	got, err := DecodeUpdateMessage(enc, 4)
+	got, err := d.DecodeUpdateMessage(enc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,6 +380,7 @@ func TestUpdateMPUnreach(t *testing.T) {
 }
 
 func TestUpdateLinkLocalNextHop(t *testing.T) {
+	var d Decoder
 	u := &Update{
 		Attrs: PathAttributes{
 			MPReach: &MPReach{
@@ -384,7 +393,7 @@ func TestUpdateLinkLocalNextHop(t *testing.T) {
 		},
 	}
 	enc := EncodeUpdate(u, 4)
-	got, err := DecodeUpdateMessage(enc, 4)
+	got, err := d.DecodeUpdateMessage(enc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,6 +427,7 @@ func TestMessageBadLength(t *testing.T) {
 }
 
 func TestAggregatorRoundTrip(t *testing.T) {
+	var d Decoder
 	for _, asSize := range []int{2, 4} {
 		u := &Update{
 			Attrs: PathAttributes{
@@ -426,7 +436,7 @@ func TestAggregatorRoundTrip(t *testing.T) {
 			NLRI: []netip.Prefix{mustPrefix(t, "10.0.0.0/8")},
 		}
 		enc := EncodeUpdate(u, asSize)
-		got, err := DecodeUpdateMessage(enc, asSize)
+		got, err := d.DecodeUpdateMessage(enc, asSize)
 		if err != nil {
 			t.Fatalf("asSize %d: %v", asSize, err)
 		}
@@ -464,6 +474,7 @@ func TestAS4PathLongerThanASPathIgnored(t *testing.T) {
 }
 
 func TestAutoAS4PathEmitted(t *testing.T) {
+	var d Decoder
 	// Encoding a 4-byte path with asSize=2 must emit AS4_PATH so the
 	// original ASNs survive the round trip after reconciliation.
 	u := &Update{
@@ -474,7 +485,7 @@ func TestAutoAS4PathEmitted(t *testing.T) {
 		NLRI: []netip.Prefix{mustPrefix(t, "10.0.0.0/8")},
 	}
 	enc := EncodeUpdate(u, 2)
-	got, err := DecodeUpdateMessage(enc, 2)
+	got, err := d.DecodeUpdateMessage(enc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,10 +499,11 @@ func TestAutoAS4PathEmitted(t *testing.T) {
 }
 
 func TestUnknownAttrPreserved(t *testing.T) {
+	var d Decoder
 	u := testUpdate(t)
 	u.Attrs.Unknown = []RawAttr{{Flags: FlagOptional | FlagTransitive, Type: 99, Value: []byte{1, 2, 3}}}
 	enc := EncodeUpdate(u, 4)
-	got, err := DecodeUpdateMessage(enc, 4)
+	got, err := d.DecodeUpdateMessage(enc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,6 +516,7 @@ func TestUnknownAttrPreserved(t *testing.T) {
 }
 
 func TestExtendedLengthAttr(t *testing.T) {
+	var d Decoder
 	// >255 bytes of communities forces the extended-length encoding.
 	var cs Communities
 	for i := 0; i < 100; i++ {
@@ -511,7 +524,7 @@ func TestExtendedLengthAttr(t *testing.T) {
 	}
 	u := &Update{Attrs: PathAttributes{Communities: cs}, NLRI: []netip.Prefix{mustPrefix(t, "10.0.0.0/8")}}
 	enc := EncodeUpdate(u, 4)
-	got, err := DecodeUpdateMessage(enc, 4)
+	got, err := d.DecodeUpdateMessage(enc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,6 +579,7 @@ func TestQuickNLRIRoundTrip(t *testing.T) {
 }
 
 func TestQuickASPathRoundTrip(t *testing.T) {
+	var d Decoder
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nseg := 1 + r.Intn(4)
@@ -583,7 +597,7 @@ func TestQuickASPathRoundTrip(t *testing.T) {
 			p.Segments = append(p.Segments, PathSegment{Type: typ, ASNs: asns})
 		}
 		enc := AppendASPath(nil, p, 4)
-		got, err := DecodeASPath(enc, 4)
+		got, err := d.DecodeASPath(enc, 4)
 		return err == nil && got.Equal(p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -592,6 +606,7 @@ func TestQuickASPathRoundTrip(t *testing.T) {
 }
 
 func TestQuickUpdateRoundTrip(t *testing.T) {
+	var d Decoder
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		origin := uint8(r.Intn(3))
@@ -606,7 +621,7 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 			u.Withdrawn = append(u.Withdrawn, quickPrefix(r))
 		}
 		enc := EncodeUpdate(u, 4)
-		got, err := DecodeUpdateMessage(enc, 4)
+		got, err := d.DecodeUpdateMessage(enc, 4)
 		if err != nil {
 			return false
 		}
@@ -623,15 +638,15 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 func TestDecodeAttributesTruncation(t *testing.T) {
 	// Every truncation point of a valid attribute block must error,
 	// never panic.
+	var d Decoder
 	u := testUpdate(t)
 	full := AppendAttributes(nil, &u.Attrs, 4)
 	for cut := 1; cut < len(full); cut++ {
-		if _, err := DecodeAttributes(full[:cut], 4); err == nil {
+		if a, err := d.DecodeAttributes(full[:cut], 4); err == nil {
 			// Truncation at an attribute boundary parses a shorter
 			// valid block; only intra-attribute cuts must fail. Verify
 			// re-encode differs instead.
-			a, _ := DecodeAttributes(full[:cut], 4)
-			re := AppendAttributes(nil, &a, 4)
+			re := AppendAttributes(nil, a, 4)
 			if len(re) == len(full) {
 				t.Fatalf("cut %d silently decoded whole block", cut)
 			}
@@ -639,7 +654,11 @@ func TestDecodeAttributesTruncation(t *testing.T) {
 	}
 }
 
+// BenchmarkDecodeUpdate times one framed UPDATE through a reused
+// Decoder, the way every stream decodes: after warm-up the arenas
+// amortise to well under one allocation per message.
 func BenchmarkDecodeUpdate(b *testing.B) {
+	var d Decoder
 	origin := uint8(OriginIGP)
 	u := &Update{
 		Attrs: PathAttributes{
@@ -655,7 +674,7 @@ func BenchmarkDecodeUpdate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeUpdateMessage(enc, 4); err != nil {
+		if _, err := d.DecodeUpdateMessage(enc, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -102,18 +102,6 @@ func (cs Communities) Clone() Communities {
 	return append(Communities(nil), cs...)
 }
 
-// DecodeCommunities decodes a COMMUNITIES attribute body.
-func DecodeCommunities(buf []byte) (Communities, error) {
-	if len(buf)%4 != 0 {
-		return nil, wireErr("communities", 0, ErrBadLength)
-	}
-	out := make(Communities, 0, len(buf)/4)
-	for off := 0; off < len(buf); off += 4 {
-		out = append(out, Community(binary.BigEndian.Uint32(buf[off:])))
-	}
-	return out, nil
-}
-
 // AppendCommunities appends the wire encoding of cs to dst.
 func AppendCommunities(dst []byte, cs Communities) []byte {
 	for _, c := range cs {

@@ -5,14 +5,11 @@ import (
 	"net/netip"
 )
 
-// Decoder is the owning side of the decode stack's memory model. The
-// free functions (DecodeUpdateBody, DecodeAttributes, DecodeASPath,
-// DecodeCommunities, DecodeNLRIList) allocate fresh storage on every
-// call and hand the caller full ownership — correct, but ~5 heap
-// allocations per decoded elem. A Decoder is the per-reader
-// alternative: one instance per stream consumer / decode worker /
-// connection, carrying reusable scratch plus geometric arenas, so a
-// steady-state decode performs no allocation at all.
+// Decoder is the package's decoder for UPDATE messages and path
+// attributes, and the owning side of the decode stack's memory model.
+// One instance serves one stream consumer, decode worker or
+// connection: it carries reusable scratch plus geometric arenas, so a
+// steady-state decode performs no heap allocation at all.
 //
 // Outputs fall into two ownership classes with one caller-facing
 // contract:
@@ -75,8 +72,8 @@ const (
 	maxCommChunk = 8192
 )
 
-// Package-level empty slices keep the Decoder's nil-vs-empty semantics
-// identical to the free functions without per-call literals.
+// Package-level empty slices give zero-length AS-path segments and
+// community lists a non-nil value without per-call literals.
 var (
 	emptyASNs        = make([]uint32, 0)
 	emptyCommunities = make(Communities, 0)
@@ -152,10 +149,12 @@ func (d *Decoder) commSlice(n int) []Community {
 }
 
 // DecodeASPath decodes an AS_PATH attribute body into arena-backed
-// segments. Semantics (asSize, error offsets, nil-vs-empty) match the
-// free DecodeASPath; the returned path's backing follows the arena
-// rules above, so it remains valid across subsequent decodes for as
-// long as it is referenced.
+// segments. asSize must be 2 or 4 (octets per ASN): BGP4MP MESSAGE
+// records carry 2-octet paths unless the AS4 subtype is used, while
+// TABLE_DUMP_V2 RIB entries always carry 4-octet paths (RFC 6396
+// §4.3.4). The returned path's backing follows the arena rules above,
+// so it remains valid across subsequent decodes for as long as it is
+// referenced.
 //
 //bgp:hotpath
 func (d *Decoder) DecodeASPath(buf []byte, asSize int) (ASPath, error) {
@@ -265,8 +264,7 @@ func (d *Decoder) DecodeNLRIList(buf []byte, afi uint16) ([]netip.Prefix, error)
 // decoder's attribute scratch. The returned attributes and their
 // pointer fields are transient (valid until the next Decode* call);
 // the AS-path and community backing inside them is arena-retained.
-// Like the free DecodeAttributes, on error the partially-decoded
-// attributes are still returned.
+// On error the partially-decoded attributes are still returned.
 //
 //bgp:hotpath
 func (d *Decoder) DecodeAttributes(buf []byte, asSize int) (*PathAttributes, error) {

@@ -38,45 +38,6 @@ func (u *Update) AllWithdrawn() []netip.Prefix {
 	return out
 }
 
-// DecodeUpdateBody decodes the body of an UPDATE message (everything
-// after the 19-byte header). asSize selects 2- or 4-octet AS_PATH
-// parsing.
-func DecodeUpdateBody(buf []byte, asSize int) (*Update, error) {
-	if len(buf) < 2 {
-		return nil, wireErr("update", 0, ErrTruncated)
-	}
-	wlen := int(binary.BigEndian.Uint16(buf))
-	off := 2
-	if len(buf)-off < wlen {
-		return nil, wireErr("update", off, ErrTruncated)
-	}
-	u := &Update{}
-	var err error
-	u.Withdrawn, err = DecodeNLRIList(buf[off:off+wlen], AFIIPv4)
-	if err != nil {
-		return nil, err
-	}
-	off += wlen
-	if len(buf)-off < 2 {
-		return nil, wireErr("update", off, ErrTruncated)
-	}
-	alen := int(binary.BigEndian.Uint16(buf[off:]))
-	off += 2
-	if len(buf)-off < alen {
-		return nil, wireErr("update", off, ErrTruncated)
-	}
-	u.Attrs, err = DecodeAttributes(buf[off:off+alen], asSize)
-	if err != nil {
-		return nil, err
-	}
-	off += alen
-	u.NLRI, err = DecodeNLRIList(buf[off:], AFIIPv4)
-	if err != nil {
-		return nil, err
-	}
-	return u, nil
-}
-
 // AppendUpdateBody appends the body encoding of u to dst.
 func AppendUpdateBody(dst []byte, u *Update, asSize int) []byte {
 	w := AppendNLRIList(nil, u.Withdrawn)
@@ -130,17 +91,4 @@ func AppendMessage(dst []byte, typ uint8, body []byte) []byte {
 func EncodeUpdate(u *Update, asSize int) []byte {
 	body := AppendUpdateBody(nil, u, asSize)
 	return AppendMessage(nil, MsgUpdate, body)
-}
-
-// DecodeUpdateMessage decodes a framed message, which must be an
-// UPDATE, and returns the parsed update.
-func DecodeUpdateMessage(buf []byte, asSize int) (*Update, error) {
-	msg, _, err := DecodeMessage(buf)
-	if err != nil {
-		return nil, err
-	}
-	if msg.Type != MsgUpdate {
-		return nil, wireErr("message", 18, ErrBadAttr)
-	}
-	return DecodeUpdateBody(msg.Body, asSize)
 }

@@ -102,6 +102,60 @@ func TestIndexQueryWindowing(t *testing.T) {
 	}
 }
 
+// TestClientPagingReturnsEachDumpOnce pages one historical query
+// through many response windows. Every matching dump must come back
+// exactly once: the dumps in the last time slot of each page, a dump
+// that began before Filters.Start but overlaps it, and a RIB dump
+// longer than the window that overlaps every page's start.
+func TestClientPagingReturnsEachDumpOnce(t *testing.T) {
+	const base = int64(1456790400)
+	ix := NewIndex()
+	for _, coll := range []string{"rrc00", "rrc01"} {
+		for i := int64(0); i < 48; i++ {
+			ix.Add(meta("ris", coll, archive.DumpUpdates, base+i*300))
+		}
+	}
+	long := meta("ris", "rrc02", archive.DumpRIB, base-600)
+	long.Duration = 3 * time.Hour
+	ix.Add(long)
+	brkSrv := httptest.NewServer(&Server{Index: ix})
+	defer brkSrv.Close()
+
+	// Start half-way through the first 5-minute slot: both of its
+	// dumps overlap the start and belong to the result.
+	cl := NewClient(brkSrv.URL, core.Filters{Start: time.Unix(base+150, 0)})
+	cl.HTTPClient = brkSrv.Client()
+	cl.Window = time.Hour
+	seen := map[string]int{}
+	batches := 0
+	for {
+		batch, err := cl.NextBatch(context.Background())
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batches++; batches > 100 {
+			t.Fatalf("paging does not terminate: %d batches, %d dumps seen", batches, len(seen))
+		}
+		for _, m := range batch {
+			seen[metaKey(m)]++
+		}
+	}
+	if batches < 4 {
+		t.Fatalf("%d batches: the query did not page", batches)
+	}
+	if len(seen) != ix.Len() {
+		t.Errorf("saw %d distinct dumps, want %d", len(seen), ix.Len())
+	}
+	for k, n := range seen {
+		if n != 1 {
+			t.Errorf("dump %s returned %d times", k, n)
+		}
+	}
+}
+
 func TestIndexAddedAfterCursor(t *testing.T) {
 	ix := NewIndex()
 	ix.Add(meta("ris", "rrc00", archive.DumpUpdates, 1000))

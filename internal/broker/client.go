@@ -40,6 +40,7 @@ type Client struct {
 	Retry resilience.Policy
 
 	cursorStart time.Time // next intervalStart for window paging
+	paged       bool      // a historical page was returned already
 	addedSince  uint64    // live-mode arrival cursor
 	exhausted   bool      // historical catch-up finished
 	liveMode    bool
@@ -150,6 +151,16 @@ func toMetas(files []DumpFile) []archive.DumpMeta {
 	return metas
 }
 
+// startingFrom drops the leading metas (sorted by start time) that
+// start before t.
+func startingFrom(metas []archive.DumpMeta, t time.Time) []archive.DumpMeta {
+	i := 0
+	for i < len(metas) && metas[i].Time.Before(t) {
+		i++
+	}
+	return metas[i:]
+}
+
 // NextBatch implements core.DataInterface. Historical phase: page
 // through response windows until the broker has nothing more, then —
 // in live mode — switch to polling with the arrival cursor; otherwise
@@ -182,8 +193,16 @@ func (c *Client) NextBatch(ctx context.Context) ([]archive.DumpMeta, error) {
 			c.addedSince = resp.MaxSeq
 		}
 		metas := toMetas(resp.DumpFiles)
+		if !c.exhausted && c.paged {
+			// Dumps that started before the cursor but overlap it match
+			// again; the previous page already returned every one of
+			// them. Only the first page keeps dumps that began before
+			// Filters.Start.
+			metas = startingFrom(metas, c.cursorStart)
+		}
 		if len(metas) > 0 {
 			if !c.exhausted {
+				c.paged = true
 				// Advance the window cursor past the newest returned
 				// dump so the next page starts after it.
 				last := metas[len(metas)-1].Time.Add(time.Second)

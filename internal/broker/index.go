@@ -135,9 +135,10 @@ func (ix *Index) MaxSeq() uint64 {
 
 // Query selects dump files matching q, ordered by dump time, applying
 // the response window: at most q.Window of data counted from the
-// earliest matching dump. It returns the matching files, a flag
-// indicating whether more data exists beyond the window, and the
-// maximum arrival sequence across the whole index at query time.
+// earliest matching dump that starts at or after q.IntervalStart. It
+// returns the matching files, a flag indicating whether more data
+// exists beyond the window, and the maximum arrival sequence across
+// the whole index at query time.
 func (ix *Index) Query(q Query) (files []archive.DumpMeta, more bool, maxSeq uint64) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -170,10 +171,20 @@ func (ix *Index) Query(q Query) (files []archive.DumpMeta, more bool, maxSeq uin
 	if window <= 0 {
 		window = 2 * time.Hour
 	}
-	cutoff := matched[0].Time.Add(window)
-	for i, e := range matched {
-		if e.Time.After(cutoff) || e.Time.Equal(cutoff) {
-			more = i < len(matched)
+	// The window counts from the first dump that starts inside the
+	// interval, so a page always holds at least one such dump: dumps
+	// that began earlier but still overlap the interval start come
+	// back too, yet cannot pin the window in place.
+	first := 0
+	for first < len(matched) && matched[first].Time.Before(q.IntervalStart) {
+		first++
+	}
+	if first == len(matched) {
+		return filesOf(matched), false, maxSeq
+	}
+	cutoff := matched[first].Time.Add(window)
+	for i := first; i < len(matched); i++ {
+		if !matched[i].Time.Before(cutoff) {
 			return filesOf(matched[:i]), true, maxSeq
 		}
 	}

@@ -125,6 +125,35 @@ func (r *Reader) body(n int) []byte {
 	return b
 }
 
+// readLarge reads an n-byte body whose header claims more than
+// DefaultArenaChunk. The buffer starts at DefaultArenaChunk and at
+// most doubles per step, so a damaged length field costs memory in
+// proportion to the bytes that actually arrive, not to the claim. In
+// scratch mode the buffer is kept as the reusable scratch; in
+// StableBodies mode the body is allocated on its own, as any body
+// larger than a chunk is.
+func (r *Reader) readLarge(n int) ([]byte, error) {
+	var buf []byte
+	if r.arena == 0 {
+		buf = r.scratch[:0]
+	}
+	for len(buf) < n {
+		want := min(n, max(2*len(buf), DefaultArenaChunk))
+		if cap(buf) < want {
+			buf = append(make([]byte, 0, want), buf...)
+		}
+		got, err := io.ReadFull(r.r, buf[len(buf):want])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return nil, err
+		}
+	}
+	if r.arena == 0 {
+		r.scratch = buf
+	}
+	return buf, nil
+}
+
 // Next returns the next record, io.EOF at the end of the stream, an
 // error wrapping ErrCorrupted for structurally damaged input (bad
 // bytes, including truncation), or an error wrapping ErrSourceIO when
@@ -158,8 +187,14 @@ func (r *Reader) next() (Record, error) {
 	if err != nil {
 		return Record{}, err
 	}
-	body := r.body(int(h.Length))
-	if _, err := io.ReadFull(r.r, body); err != nil {
+	var body []byte
+	if n := int(h.Length); n <= DefaultArenaChunk {
+		body = r.body(n)
+		_, err = io.ReadFull(r.r, body)
+	} else {
+		body, err = r.readLarge(n)
+	}
+	if err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			// The stream ended inside a record the header promised:
 			// structural truncation of the input itself.

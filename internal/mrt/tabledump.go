@@ -105,16 +105,10 @@ type RIBEntry struct {
 	Attrs          []byte
 }
 
-// DecodeAttrs parses the entry's path attributes. TABLE_DUMP_V2
-// attributes always use 4-octet AS numbers (RFC 6396 §4.3.4). It
-// allocates per call; hot paths use DecodeAttrsInto.
-func (e *RIBEntry) DecodeAttrs() (bgp.PathAttributes, error) {
-	return bgp.DecodeAttributes(e.Attrs, 4)
-}
-
-// DecodeAttrsInto parses the entry's path attributes through dec; the
-// result follows dec's lifetime contract (valid until the next Decode*
-// call on dec).
+// DecodeAttrsInto parses the entry's path attributes through dec.
+// TABLE_DUMP_V2 attributes always use 4-octet AS numbers (RFC 6396
+// §4.3.4). The result follows dec's lifetime contract (valid until the
+// next Decode* call on dec).
 //
 //bgp:hotpath
 func (e *RIBEntry) DecodeAttrsInto(dec *bgp.Decoder) (*bgp.PathAttributes, error) {
@@ -130,8 +124,9 @@ type RIB struct {
 }
 
 // DecodeRIBTo decodes a RIB_IPVx_UNICAST/MULTICAST record body into r,
-// reusing r.Entries' backing: the allocation-free form of DecodeRIB
-// for per-reader decode loops. Entry Attrs alias body.
+// reusing r.Entries' backing, so per-reader decode loops allocate
+// nothing; afi selects the prefix family and is implied by the record
+// subtype. Entry Attrs alias body.
 //
 //bgp:hotpath
 func DecodeRIBTo(r *RIB, body []byte, afi uint16) error {
@@ -175,17 +170,6 @@ func DecodeRIBTo(r *RIB, body []byte, afi uint16) error {
 		r.Entries = append(r.Entries, e)
 	}
 	return nil
-}
-
-// DecodeRIB decodes a RIB_IPVx_UNICAST/MULTICAST record body into
-// fresh storage the caller owns; afi selects the prefix family and is
-// implied by the record subtype.
-func DecodeRIB(body []byte, afi uint16) (*RIB, error) {
-	r := &RIB{}
-	if err := DecodeRIBTo(r, body, afi); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // SubtypeForPrefix returns the TABLE_DUMP_V2 unicast RIB subtype for
@@ -291,21 +275,6 @@ func DecodeTableDumpTo(td *TableDump, body []byte, afi uint16) error {
 	}
 	td.Attrs = body[off : off+alen]
 	return nil
-}
-
-// DecodeTableDump decodes a TABLE_DUMP record body into fresh storage
-// the caller owns; the header subtype carries the AFI.
-func DecodeTableDump(body []byte, afi uint16) (*TableDump, error) {
-	td := &TableDump{}
-	if err := DecodeTableDumpTo(td, body, afi); err != nil {
-		return nil, err
-	}
-	return td, nil
-}
-
-// DecodeAttrs parses the record's path attributes (2-octet AS paths).
-func (td *TableDump) DecodeAttrs() (bgp.PathAttributes, error) {
-	return bgp.DecodeAttributes(td.Attrs, 2)
 }
 
 // DecodeAttrsInto parses the record's path attributes (2-octet AS

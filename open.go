@@ -194,9 +194,7 @@ func WithLive(start time.Time) Option {
 
 // Open is the unified stream constructor: it binds a source (pull or
 // push, named or instance) to the accumulated filters and returns the
-// running stream. It replaces the NewStream / NewLiveStream /
-// NewBrokerClient / NewRISLiveClient constructor zoo, which remain as
-// deprecated wrappers.
+// running stream. It is the package's only stream constructor.
 //
 //	s, err := bgpstream.Open(ctx,
 //		bgpstream.WithSource("directory", bgpstream.SourceOptions{"path": "./archive"}),

@@ -81,8 +81,8 @@ func TestOpenPullEndToEnd(t *testing.T) {
 		t.Fatal("no RIB elems through Open")
 	}
 
-	// The same stream construction through the legacy constructor
-	// yields the same elem count (old and new front ends agree).
+	// The same stream built from a source instance and a Filters value
+	// yields the same elem count (named and instance forms agree).
 	filters := bgpstream.Filters{
 		Projects:  []string{"ris"},
 		DumpTypes: []bgpstream.DumpType{bgpstream.DumpRIB},
@@ -90,17 +90,21 @@ func TestOpenPullEndToEnd(t *testing.T) {
 		Start:     start,
 		End:       start.Add(time.Hour),
 	}
-	legacy := bgpstream.NewStream(context.Background(), &bgpstream.Directory{Dir: dir}, filters)
-	defer legacy.Close()
+	inst, err := bgpstream.Open(context.Background(),
+		bgpstream.WithSourceInstance(&bgpstream.Directory{Dir: dir}), bgpstream.WithFilters(filters))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
 	m := 0
-	for range legacy.Elems() {
+	for range inst.Elems() {
 		m++
 	}
-	if err := legacy.Err(); err != nil {
+	if err := inst.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if m != n {
-		t.Fatalf("legacy constructor saw %d elems, Open saw %d", m, n)
+		t.Fatalf("instance source saw %d elems, named source saw %d", m, n)
 	}
 }
 

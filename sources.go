@@ -203,90 +203,81 @@ func optDuration(name string, opts SourceOptions, key string, def time.Duration)
 	return d, nil
 }
 
-// pipelineOptions are the parallel-ingest options every pull source
-// accepts, mirroring WithDecodeWorkers / WithReadahead.
-var pipelineOptions = []SourceOption{
+// pullOptions are the tuning options every pull source accepts:
+// parallel ingest, mirroring WithDecodeWorkers / WithReadahead, and
+// fault tolerance, mirroring Stream.SetFetchPolicy /
+// SetBreakerThreshold.
+var pullOptions = []SourceOption{
 	{Name: "decode-workers", Description: "parallel ingest: dump files of an overlap partition decoded concurrently (1 = sequential)", Default: "GOMAXPROCS"},
 	{Name: "readahead", Description: "per-dump-file decoded-record readahead bound", Default: "4096"},
-}
-
-// pipelineOpts parses the shared parallel-ingest options of a pull
-// source.
-func pipelineOpts(name string, opts SourceOptions) (workers, readahead int, err error) {
-	if workers, err = optInt(name, opts, "decode-workers", 0); err != nil {
-		return 0, 0, err
-	}
-	if readahead, err = optInt(name, opts, "readahead", 0); err != nil {
-		return 0, 0, err
-	}
-	return workers, readahead, nil
-}
-
-// resilienceOptions are the fault-tolerance options every pull source
-// accepts, mirroring Stream.SetFetchPolicy / SetBreakerThreshold.
-var resilienceOptions = []SourceOption{
 	{Name: "retry", Description: "fetch attempts per transient network failure (dump open/resume, broker query)", Default: "3"},
 	{Name: "retry-backoff", Description: "delay before the second fetch attempt, doubled per retry with jitter", Default: "250ms"},
 	{Name: "breaker-threshold", Description: "consecutive per-host fetch failures that open the circuit breaker (0 disables)", Default: "5"},
 }
 
-// resilienceOpts parses the shared fault-tolerance options of a pull
-// source. set reports whether any of them was given explicitly; when
-// false the stream keeps its zero-value (default) fetch behaviour.
-func resilienceOpts(name string, opts SourceOptions) (pol resilience.Policy, threshold int, set bool, err error) {
+// pullTuning is the parsed form of pullOptions.
+type pullTuning struct {
+	workers, readahead int
+	policy             resilience.Policy
+	threshold          int
+}
+
+// parsePullTuning parses the shared pull-source options of source name.
+func parsePullTuning(name string, opts SourceOptions) (pullTuning, error) {
+	var t pullTuning
+	var err error
+	if t.workers, err = optInt(name, opts, "decode-workers", 0); err != nil {
+		return t, err
+	}
+	if t.readahead, err = optInt(name, opts, "readahead", 0); err != nil {
+		return t, err
+	}
 	if v := opts["retry"]; v != "" {
 		n, aerr := strconv.Atoi(v)
 		if aerr != nil || n < 1 {
-			return pol, 0, false, fmt.Errorf("bgpstream: source %q option %q: bad attempt count %q", name, "retry", v)
+			return t, fmt.Errorf("bgpstream: source %q option %q: bad attempt count %q", name, "retry", v)
 		}
-		pol.MaxAttempts, set = n, true
+		t.policy.MaxAttempts = n
 	}
 	backoff, err := optDuration(name, opts, "retry-backoff", 0)
 	if err != nil {
-		return pol, 0, false, err
+		return t, err
 	}
-	if backoff > 0 {
-		pol.Backoff, set = backoff, true
-	}
+	t.policy.Backoff = backoff
 	if v := opts["breaker-threshold"]; v != "" {
 		n, aerr := strconv.Atoi(v)
 		if aerr != nil || n < 0 {
-			return pol, 0, false, fmt.Errorf("bgpstream: source %q option %q: bad threshold %q", name, "breaker-threshold", v)
+			return t, fmt.Errorf("bgpstream: source %q option %q: bad threshold %q", name, "breaker-threshold", v)
 		}
+		t.threshold = n
 		if n == 0 {
-			threshold = -1 // the stream API uses negative for "disabled"
-		} else {
-			threshold = n
+			t.threshold = -1 // the stream API uses negative for "disabled"
 		}
-		set = true
 	}
-	return pol, threshold, set, nil
+	return t, nil
+}
+
+// open builds a pull stream over di with the tuning applied: the one
+// place the pull-source options reach a Stream. Options left unset
+// are zero, which every setter reads as its default.
+func (t pullTuning) open(ctx context.Context, di core.DataInterface, f Filters) *Stream {
+	s := core.NewStream(ctx, di, f)
+	s.SetDecodeWorkers(t.workers)
+	s.SetReadahead(t.readahead)
+	s.SetFetchPolicy(t.policy)
+	s.SetBreakerThreshold(t.threshold)
+	return s
 }
 
 // pullPipelined wraps a pull data interface as a Source applying the
-// shared parallel-ingest and fault-tolerance options at stream
-// construction.
+// shared pull-source options at stream construction.
 func pullPipelined(name string, opts SourceOptions, di core.DataInterface) (Source, error) {
-	workers, readahead, err := pipelineOpts(name, opts)
+	t, err := parsePullTuning(name, opts)
 	if err != nil {
 		return nil, err
-	}
-	pol, threshold, rset, err := resilienceOpts(name, opts)
-	if err != nil {
-		return nil, err
-	}
-	if workers == 0 && readahead == 0 && !rset {
-		return PullSource(di), nil
 	}
 	return core.SourceFunc(func(ctx context.Context, f Filters) (*Stream, error) {
-		s := core.NewStream(ctx, di, f)
-		s.SetDecodeWorkers(workers)
-		s.SetReadahead(readahead)
-		if rset {
-			s.SetFetchPolicy(pol)
-			s.SetBreakerThreshold(threshold)
-		}
-		return s, nil
+		return t.open(ctx, di, f), nil
 	}), nil
 }
 
@@ -298,11 +289,11 @@ func init() {
 		Name:        "broker",
 		Description: "BGPStream Broker meta-data service (the default way to consume public archives)",
 		Kind:        "pull",
-		Options: append(append([]SourceOption{
+		Options: append([]SourceOption{
 			{Name: "url", Description: "broker service root, e.g. http://localhost:8472", Required: true},
 			{Name: "poll", Description: "live-mode polling period", Default: "10s"},
 			{Name: "window", Description: "override the broker's response window", Default: "broker-chosen"},
-		}, pipelineOptions...), resilienceOptions...),
+		}, pullOptions...),
 	}, func(opts SourceOptions) (Source, error) {
 		poll, err := optDuration("broker", opts, "poll", 0)
 		if err != nil {
@@ -312,11 +303,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		workers, readahead, err := pipelineOpts("broker", opts)
-		if err != nil {
-			return nil, err
-		}
-		pol, threshold, rset, err := resilienceOpts("broker", opts)
+		t, err := parsePullTuning("broker", opts)
 		if err != nil {
 			return nil, err
 		}
@@ -327,19 +314,10 @@ func init() {
 				c.PollInterval = poll
 			}
 			c.Window = window
-			if rset {
-				// The same policy governs meta-data queries and dump
-				// fetches: one knob for the whole network edge.
-				c.Retry = pol
-			}
-			s := core.NewStream(ctx, c, f)
-			s.SetDecodeWorkers(workers)
-			s.SetReadahead(readahead)
-			if rset {
-				s.SetFetchPolicy(pol)
-				s.SetBreakerThreshold(threshold)
-			}
-			return s, nil
+			// The same policy governs meta-data queries and dump
+			// fetches: one knob for the whole network edge.
+			c.Retry = t.policy
+			return t.open(ctx, c, f), nil
 		}), nil
 	})
 
@@ -347,9 +325,9 @@ func init() {
 		Name:        "directory",
 		Description: "local archive tree in the collector-project on-disk layout",
 		Kind:        "pull",
-		Options: append(append([]SourceOption{
+		Options: append([]SourceOption{
 			{Name: "path", Description: "archive root directory", Required: true},
-		}, pipelineOptions...), resilienceOptions...),
+		}, pullOptions...),
 	}, func(opts SourceOptions) (Source, error) {
 		return pullPipelined("directory", opts, &core.Directory{Dir: opts["path"]})
 	})
@@ -358,9 +336,9 @@ func init() {
 		Name:        "csvfile",
 		Description: "CSV dump index: project,collector,type,unix_start,duration_seconds,url per line",
 		Kind:        "pull",
-		Options: append(append([]SourceOption{
+		Options: append([]SourceOption{
 			{Name: "path", Description: "CSV index file", Required: true},
-		}, pipelineOptions...), resilienceOptions...),
+		}, pullOptions...),
 	}, func(opts SourceOptions) (Source, error) {
 		return pullPipelined("csvfile", opts, &core.CSVFile{Path: opts["path"]})
 	})
@@ -369,14 +347,14 @@ func init() {
 		Name:        "singlefile",
 		Description: "explicit dump files, no meta-data service (the C API's single-file interface)",
 		Kind:        "pull",
-		Options: append(append([]SourceOption{
+		Options: append([]SourceOption{
 			{Name: "rib-file", Description: "path or URL of a RIB dump (this or upd-file is required)"},
 			{Name: "upd-file", Description: "path or URL of an updates dump (this or rib-file is required)"},
 			{Name: "project", Description: "project annotation on the records", Default: "singlefile"},
 			{Name: "collector", Description: "collector annotation on the records", Default: "singlefile"},
 			{Name: "time", Description: "nominal dump start, unix seconds (zero = unknown: the dump always passes interval meta-filtering and records are time-filtered individually)", Default: "0"},
 			{Name: "duration", Description: "nominal dump duration, e.g. 8h", Default: "0s"},
-		}, pipelineOptions...), resilienceOptions...),
+		}, pullOptions...),
 	}, func(opts SourceOptions) (Source, error) {
 		if opts["rib-file"] == "" && opts["upd-file"] == "" {
 			return nil, fmt.Errorf(`bgpstream: source "singlefile" requires option "rib-file" or "upd-file"`)
